@@ -198,7 +198,20 @@ func (f *Fleet) StepAll(ctx context.Context, budgets []float64) ([]Allocation, e
 	if len(budgets) != len(f.ctls) {
 		return nil, fmt.Errorf("%w: %d budgets for %d devices", ErrInvalidConfig, len(budgets), len(f.ctls))
 	}
+	// Two allocations per call, whatever the fleet size: the entries and
+	// one backing array that every device's Active times are carved from.
+	// Each window is capacity-limited, so appending to one entry's Active
+	// reallocates instead of overwriting the next device's.
+	total := 0
+	for _, ctl := range f.ctls {
+		total += len(ctl.Config().DPs)
+	}
 	allocs := make([]Allocation, len(f.ctls))
+	active := make([]float64, total)
+	for i, ctl := range f.ctls {
+		n := len(ctl.Config().DPs)
+		allocs[i].Active, active = active[:n:n], active[n:]
+	}
 	return allocs, f.stepAllInto(ctx, budgets, allocs)
 }
 
@@ -256,17 +269,21 @@ func (f *Fleet) stepAllInto(ctx context.Context, budgets []float64, allocs []All
 // energy device i actually spent during the period StepAll last planned.
 // Inactive devices (SetActive) are skipped — they executed nothing, so
 // their entry is ignored rather than booked as a zero-consumption period.
+// Every device is reported to even when some fail; the joined error names
+// each failing device.
+//
+//reap:hotpath
 func (f *Fleet) ReportAll(consumed []float64) error {
 	if len(consumed) != len(f.ctls) {
-		return fmt.Errorf("%w: %d reports for %d devices", ErrInvalidConfig, len(consumed), len(f.ctls))
+		return fmt.Errorf("%w: %d reports for %d devices", ErrInvalidConfig, len(consumed), len(f.ctls)) //lint:reapvet hotalloc -- cold error path
 	}
-	errs := make([]error, len(f.ctls))
+	var errs []error
 	for i, ctl := range f.ctls {
 		if f.active != nil && !f.active[i] {
 			continue
 		}
 		if err := ctl.Report(consumed[i]); err != nil {
-			errs[i] = fmt.Errorf("device %d: %w", i, err)
+			errs = append(errs, fmt.Errorf("device %d: %w", i, err)) //lint:reapvet hotalloc -- cold error path
 		}
 	}
 	return errors.Join(errs...)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -270,6 +271,57 @@ func TestFleetStepAllPartialFailure(t *testing.T) {
 		if allocs[i].Total() == 0 {
 			t.Errorf("healthy device %d unplanned", i)
 		}
+	}
+}
+
+// ReportAll reports to every device even when some reports fail, and
+// the joined error names exactly the failing devices.
+func TestFleetReportAllPartialFailure(t *testing.T) {
+	fleet, err := NewFleet(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fleet.StepAll(context.Background(), []float64{5, 5, 5, 5}); err != nil {
+		t.Fatal(err)
+	}
+	err = fleet.ReportAll([]float64{1, -1, 1, math.NaN()})
+	if !errors.Is(err, ErrBudgetNegative) {
+		t.Fatalf("err %v, want ErrBudgetNegative in the chain", err)
+	}
+	got := err.Error()
+	if !strings.Contains(got, "device 1: ") || !strings.Contains(got, "device 3: ") || strings.Count(got, "device ") != 2 {
+		t.Fatalf("error %q does not name exactly devices 1 and 3", got)
+	}
+}
+
+// StepAll carves every device's Active times from one array. Devices
+// with different design-point counts get windows of their own length,
+// and appending to one device's Active must not write into its
+// neighbour's.
+func TestFleetStepAllHeterogeneousActive(t *testing.T) {
+	dps := PaperDesignPoints()
+	fleet, err := NewFleet(3, WithDeviceOverride(func(i int) []Option {
+		if i == 1 {
+			return []Option{WithDesignPoints(dps[:2]...)}
+		}
+		return nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs, err := fleet.StepAll(context.Background(), []float64{5, 5, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int{len(dps), 2, len(dps)} {
+		if got := len(allocs[i].Active); got != want {
+			t.Fatalf("device %d: %d active times, want %d", i, got, want)
+		}
+	}
+	before := slices.Clone(allocs[1].Active)
+	_ = append(allocs[0].Active, -1)
+	if !slices.Equal(allocs[1].Active, before) {
+		t.Fatalf("appending to device 0's Active overwrote device 1's: %v, was %v", allocs[1].Active, before)
 	}
 }
 

@@ -23,12 +23,10 @@ import (
 // extra step, no malformed-event error), and every handler goroutine
 // winds down — an abandoned stream may not pin a goroutine.
 //
-// The responses are deliberately not read: Go's HTTP/1 server drains an
-// unconsumed request body before flushing response headers, so a
-// client that both streams and reads would deadlock against a test
-// that controls one socket. The observable effects — counters and
-// goroutine count — are the contract here; response framing per event
-// is covered by TestTelemetryStream and the handler-level test below.
+// The responses are deliberately not read: the observable effects —
+// counters and goroutine count — are the contract here; response
+// framing per event is covered by TestTelemetryStream,
+// TestTelemetryInterleavedFullDuplex and the handler-level test below.
 func TestTelemetryDisconnectMidStream(t *testing.T) {
 	svc := newTestService(t, Config{Devices: 8, BatteryJ: 20, CapacityJ: 100})
 	srv := httptest.NewServer(svc.Handler())
@@ -62,6 +60,75 @@ func TestTelemetryDisconnectMidStream(t *testing.T) {
 	waitFor(t, 10*time.Second, func() bool { return runtime.NumGoroutine() <= baseline+2 }, func() string {
 		return fmt.Sprintf("goroutines = %d, baseline %d — telemetry handlers leaked", runtime.NumGoroutine(), baseline)
 	})
+}
+
+// TestTelemetryInterleavedFullDuplex is the runtime loop over a real
+// HTTP/1 connection: the client sends one event, reads its result line,
+// and only then sends the next — without Expect: 100-continue. The
+// stream must be full duplex for this to progress: a server that drains
+// the unread request body before its first flush waits for an event the
+// client sends only after it sees a result.
+func TestTelemetryInterleavedFullDuplex(t *testing.T) {
+	svc := newTestService(t, Config{Devices: 8, BatteryJ: 20, CapacityJ: 100})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	pr, pw := io.Pipe()
+	req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/telemetry", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const events = 5
+	done := make(chan error, 1)
+	go func() {
+		done <- func() error {
+			send := func(i int) error {
+				_, err := fmt.Fprintf(pw, `{"v":%d,"device":%d,"harvest_j":1.5}`+"\n", wire.Version, i)
+				return err
+			}
+			// The pipe hands event 0 over only once the transport reads
+			// the body, which it starts doing inside Do.
+			first := make(chan error, 1)
+			go func() { first <- send(0) }()
+			resp, err := srv.Client().Do(req)
+			if err != nil {
+				return err
+			}
+			defer resp.Body.Close()
+			if err := <-first; err != nil {
+				return err
+			}
+			if resp.StatusCode != http.StatusOK {
+				return fmt.Errorf("status %d", resp.StatusCode)
+			}
+			dec := json.NewDecoder(resp.Body)
+			for i := 0; i < events; i++ {
+				var res wire.TelemetryResult
+				if err := dec.Decode(&res); err != nil {
+					return fmt.Errorf("result %d: %w", i, err)
+				}
+				if res.Error != nil || res.Device != i {
+					return fmt.Errorf("result %d: %+v", i, res)
+				}
+				if i+1 < events {
+					if err := send(i + 1); err != nil {
+						return err
+					}
+				}
+			}
+			return pw.Close()
+		}()
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		pw.CloseWithError(io.ErrClosedPipe)
+		srv.CloseClientConnections()
+		t.Fatal("interleaved telemetry stream made no progress in 10s: the server waited for the request body before answering")
+	}
 }
 
 // TestTelemetryPartialLineAnsweredPrefix is the handler-level view of

@@ -37,6 +37,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -741,6 +742,17 @@ func (s *Service) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	tenant := r.Header.Get("X-Tenant")
 	if tenant == "" {
 		tenant = "default"
+	}
+	// Results interleave with events, so the stream must be full duplex:
+	// otherwise an HTTP/1 server drains the unread request body before
+	// the first flush, and a client that waits for each result before
+	// sending its next event deadlocks. HTTP/2 streams are full duplex
+	// already and answer ErrNotSupported, as do writers that buffer the
+	// whole response; both are served as they are.
+	if err := http.NewResponseController(w).EnableFullDuplex(); err != nil && !errors.Is(err, http.ErrNotSupported) {
+		writeError(w, http.StatusInternalServerError,
+			wire.Errorf(wire.CodeInternal, "enabling full-duplex streaming: %v", err))
+		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)

@@ -17,7 +17,7 @@ type Timeline struct {
 
 	current   Activity
 	remaining int // windows left in the current bout
-	hour      int // hour of day, advanced by the caller via Advance
+	hour      int // hour of day, advanced as windows are consumed
 	windows   int // windows generated within the current hour
 }
 
@@ -69,25 +69,52 @@ func NewTimeline(u UserProfile, startHour int, seed int64) (*Timeline, error) {
 	return tl, nil
 }
 
-// startBout draws the next persistent activity and its dwell time.
-func (tl *Timeline) startBout() {
-	mix := hourlyMix(tl.hour)
-	r := tl.rng.Float64()
-	acc := 0.0
-	next := Sit
-	for _, a := range Activities() {
-		p, ok := mix[a]
-		if !ok {
-			continue
-		}
-		acc += p
-		if r < acc {
-			next = a
-			break
+// boutTable is hourlyMix in the form startBout reads: for each hour of
+// day, the activities present in the mix in Activities() order and their
+// running probability sums. It is built once, at package init, so a bout
+// start costs no allocation; the sums are accumulated in the same order
+// as a walk over hourlyMix, so the thresholds are bit-identical to it.
+var boutTable = func() (t [24]struct {
+	n   int
+	act [NumActivities]Activity
+	acc [NumActivities]float64
+}) {
+	for hour := range t {
+		mix := hourlyMix(hour)
+		acc := 0.0
+		for _, a := range Activities() {
+			p, ok := mix[a]
+			if !ok {
+				continue
+			}
+			acc += p
+			h := &t[hour]
+			h.act[h.n], h.acc[h.n] = a, acc
+			h.n++
 		}
 	}
-	tl.current = next
+	return t
+}()
+
+// startBout draws the next persistent activity and its dwell time.
+func (tl *Timeline) startBout() {
+	tl.current = boutActivity(tl.hour, tl.rng.Float64())
 	tl.remaining = minBout + tl.rng.Intn(maxBout-minBout)
+}
+
+// boutActivity maps a uniform draw r in [0,1) onto the hour's mix: the
+// first activity whose running probability sum exceeds r, Sit if rounding
+// leaves r above them all.
+//
+//reap:hotpath
+func boutActivity(hour int, r float64) Activity {
+	h := &boutTable[hour]
+	for k := 0; k < h.n; k++ {
+		if r < h.acc[k] {
+			return h.act[k]
+		}
+	}
+	return Sit
 }
 
 // Next returns the next activity window in the stream. Between bouts it
@@ -97,18 +124,14 @@ func (tl *Timeline) Next() Window {
 }
 
 // NextLabel advances the stream one window and returns its label without
-// synthesizing the 640-sample sensor window. Hour-scale consumers — the
-// sim package's activity-dependent consumption model needs the per-hour
-// activity mix, not the raw signals — step the same bout state machine
-// at a tiny fraction of the cost. Interleaving NextLabel and Next on one
-// Timeline is valid; the bout sequence only diverges from an all-Next
-// run because Generate consumes additional randomness.
+// synthesizing the 640-sample sensor window: the label sequence of a
+// run of Next calls at a tiny fraction of the cost. Consumers that need
+// only how many windows of each activity a span holds should use
+// Advance, which moves a bout at a time. Interleaving NextLabel and Next
+// on one Timeline is valid; the bout sequence only diverges from an
+// all-Next run because Generate consumes additional randomness.
 func (tl *Timeline) NextLabel() Activity {
-	tl.windows++
-	if tl.windows >= WindowsPerHour {
-		tl.windows = 0
-		tl.hour = (tl.hour + 1) % 24
-	}
+	tl.tick(1)
 	if tl.remaining <= 0 {
 		tl.startBout()
 		return Transition
@@ -117,15 +140,50 @@ func (tl *Timeline) NextLabel() Activity {
 	return tl.current
 }
 
+// Advance moves the stream n windows forward, exactly as n NextLabel
+// calls would, and adds how many of those windows carry each label to
+// counts. It steps a bout at a time rather than a window at a time: an
+// hour of windows takes a handful of steps, one per bout it touches. The
+// sim package's activity-dependent consumption model reads its hourly
+// mean intensity from these counts.
+//
+//reap:hotpath
+func (tl *Timeline) Advance(n int, counts *[NumActivities]int) {
+	for n > 0 {
+		if tl.remaining <= 0 {
+			// Bout boundary: one Transition window, and the next bout is
+			// drawn from the mix of the hour that window falls in.
+			tl.tick(1)
+			tl.startBout()
+			counts[Transition]++
+			n--
+			continue
+		}
+		k := min(n, tl.remaining)
+		tl.tick(k)
+		tl.remaining -= k
+		counts[tl.current] += k
+		n -= k
+	}
+}
+
+// tick moves the clock k windows forward, rolling the hour of day.
+func (tl *Timeline) tick(k int) {
+	tl.windows += k
+	if tl.windows >= WindowsPerHour {
+		tl.hour = (tl.hour + tl.windows/WindowsPerHour) % 24
+		tl.windows %= WindowsPerHour
+	}
+}
+
 // Skip advances the stream n windows without returning labels — the
 // churn seam: a device that leaves the fleet stops observing its user,
 // but the user keeps living, so when the device rejoins the timeline
 // must have moved on to the right hour of day (and the right point in
 // the bout state machine), not frozen at the hour it left.
 func (tl *Timeline) Skip(n int) {
-	for i := 0; i < n; i++ {
-		tl.NextLabel()
-	}
+	var counts [NumActivities]int
+	tl.Advance(n, &counts)
 }
 
 // Hour returns the current hour of day.

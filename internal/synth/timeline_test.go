@@ -1,6 +1,8 @@
 package synth
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -138,6 +140,44 @@ func TestHourlyMixDistributions(t *testing.T) {
 	}
 }
 
+// The bout table must pick exactly what a walk over hourlyMix picks:
+// same activities, same order, thresholds summed in the same order —
+// including at and just below every threshold, where a rounding
+// difference in the sums would show.
+func TestBoutActivityMatchesHourlyMix(t *testing.T) {
+	walk := func(hour int, r float64) Activity {
+		mix := hourlyMix(hour)
+		acc := 0.0
+		for _, a := range Activities() {
+			p, ok := mix[a]
+			if !ok {
+				continue
+			}
+			acc += p
+			if r < acc {
+				return a
+			}
+		}
+		return Sit
+	}
+	rng := rand.New(rand.NewSource(1))
+	for hour := 0; hour < 24; hour++ {
+		draws := []float64{0, math.Nextafter(1, 0)}
+		for k := 0; k < boutTable[hour].n; k++ {
+			acc := boutTable[hour].acc[k]
+			draws = append(draws, acc, math.Nextafter(acc, 0), math.Nextafter(acc, 1))
+		}
+		for i := 0; i < 1000; i++ {
+			draws = append(draws, rng.Float64())
+		}
+		for _, r := range draws {
+			if got, want := boutActivity(hour, r), walk(hour, r); got != want {
+				t.Fatalf("hour %d r %v: table picks %v, hourlyMix walk %v", hour, r, got, want)
+			}
+		}
+	}
+}
+
 func TestDayGeneratesFullStream(t *testing.T) {
 	u := NewUserProfile(5, 10)
 	day, err := Day(u, 11)
@@ -159,30 +199,48 @@ func TestDayGeneratesFullStream(t *testing.T) {
 	}
 }
 
-// Skip must advance the stream exactly as n NextLabel calls would — the
-// churn seam: a device that was offline for an hour rejoins a user who
-// kept living through it.
+// Advance and Skip must move the stream exactly as n NextLabel calls
+// would — the churn seam (a device that was offline for an hour rejoins
+// a user who kept living through it) and the sim package's hourly
+// intensity both rest on it. The per-window loop is the oracle: Advance's
+// counts must equal the histogram of the labels it replaces, the clock
+// must agree, and the streams must stay in lockstep afterwards. The n
+// values cover no-op, single windows, mid-bout stops, one window short
+// of an hour roll, the roll itself, and several rolls.
 func TestTimelineSkipAdvancesLikeNext(t *testing.T) {
-	user := NewUserProfile(3, 99)
-	a, err := NewTimeline(user, 0, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewTimeline(user, 0, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < WindowsPerHour; i++ {
-		a.NextLabel()
-	}
-	b.Skip(WindowsPerHour)
-	for i := 0; i < 3*WindowsPerHour; i++ {
-		if la, lb := a.NextLabel(), b.NextLabel(); la != lb {
-			t.Fatalf("window %d after skip: %v vs %v", i, la, lb)
+	for _, seed := range []int64{1, 42, 7919} {
+		for _, hour := range []int{0, 5, 23} {
+			for _, n := range []int{0, 1, 39, WindowsPerHour - 1, WindowsPerHour, 3*WindowsPerHour + 17} {
+				user := NewUserProfile(3, seed)
+				mk := func() *Timeline {
+					tl, err := NewTimeline(user, hour, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return tl
+				}
+				oracle, adv, skip := mk(), mk(), mk()
+				var want, got [NumActivities]int
+				for i := 0; i < n; i++ {
+					want[oracle.NextLabel()]++
+				}
+				adv.Advance(n, &got)
+				skip.Skip(n)
+				if got != want {
+					t.Fatalf("seed %d hour %d n %d: Advance counts %v, NextLabel histogram %v", seed, hour, n, got, want)
+				}
+				for _, tl := range []*Timeline{adv, skip} {
+					if tl.Hour() != oracle.Hour() {
+						t.Fatalf("seed %d hour %d n %d: hour %d, want %d", seed, hour, n, tl.Hour(), oracle.Hour())
+					}
+				}
+				for i := 0; i < 3*WindowsPerHour; i++ {
+					lo, la, ls := oracle.NextLabel(), adv.NextLabel(), skip.NextLabel()
+					if la != lo || ls != lo {
+						t.Fatalf("seed %d hour %d n %d: window %d after advance: NextLabel %v, Advance %v, Skip %v", seed, hour, n, i, lo, la, ls)
+					}
+				}
+			}
 		}
-	}
-	b.Skip(0) // no-op
-	if la, lb := a.NextLabel(), b.NextLabel(); la != lb {
-		t.Fatalf("Skip(0) advanced the stream: %v vs %v", la, lb)
 	}
 }

@@ -639,12 +639,17 @@ func (s *simulator) Consumed(step int, allocs []reap.Allocation, dst []float64) 
 	return nil
 }
 
-// hourIntensity streams one hour of activity labels from device i's
-// timeline and returns their mean intensity.
+// hourIntensity advances device i's timeline one hour and returns the
+// mean intensity of its windows, weighting each activity by how many of
+// the hour's windows carry it.
+//
+//reap:hotpath
 func (s *simulator) hourIntensity(i int) float64 {
+	var counts [synth.NumActivities]int
+	s.timelines[i].Advance(synth.WindowsPerHour, &counts)
 	var sum float64
-	for w := 0; w < synth.WindowsPerHour; w++ {
-		sum += activityIntensity[s.timelines[i].NextLabel()]
+	for a, c := range counts {
+		sum += float64(c) * activityIntensity[a]
 	}
 	return sum / synth.WindowsPerHour
 }
